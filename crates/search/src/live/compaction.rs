@@ -1,25 +1,24 @@
 //! Deterministic background merges.
 //!
 //! The policy is seeded: every "how many runs to merge" decision draws
-//! from a SplitMix64 stream keyed by `(seed, decision counter)`, so a
-//! replayed event sequence reproduces the exact same merge schedule —
-//! segment ids, widths, and contents — bit for bit. The merge itself is
-//! a pure function of its input segments; on multi-core hosts the
-//! per-input claim scans fan out over crossbeam scoped threads and are
-//! joined in input order, so the parallel and serial paths build
-//! byte-identical segments.
+//! from a SplitMix64 stream keyed by `(seed, decision counter)`. Which
+//! runs merge is then a pure function of the stack: the adjacent window
+//! of that width holding the fewest stored versions plus tombstones. A
+//! replayed event sequence therefore reproduces the exact same merge
+//! schedule — segment ids, windows, and contents — bit for bit. The
+//! merge itself is one serial pass over its inputs' page-ordered claims.
 
-use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use crate::kernel::hardware_threads;
+use shift_corpus::PageId;
 
 use super::memtable::LiveDoc;
 use super::segment::Segment;
 
 /// Seeded merge-width policy: when the segment stack reaches the
-/// trigger, the oldest `width ∈ [fanin_min, fanin_max]` runs merge,
-/// with `width` drawn deterministically per decision.
+/// trigger, `width ∈ [fanin_min, fanin_max]` adjacent runs merge, with
+/// `width` drawn deterministically per decision and the window picked
+/// by `cheapest_window`.
 #[derive(Debug, Clone)]
 pub struct CompactionPolicy {
     fanin_min: usize,
@@ -73,60 +72,96 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Merges the given runs (oldest first, exactly as they sit at the
-/// *bottom* of the segment stack) into one fresh segment.
+/// Start of the adjacent `width`-run window that is cheapest to merge:
+/// the fewest stored versions plus tombstones, the newest window on
+/// ties. Small, young runs merge among themselves; the large base run
+/// is rewritten only when the runs above it have grown comparable.
+pub(crate) fn cheapest_window(segments: &[Arc<Segment>], width: usize) -> usize {
+    let cost = |start: usize| -> usize {
+        segments[start..start + width]
+            .iter()
+            .map(|s| s.len() + s.tombstones().len())
+            .sum()
+    };
+    // Newest window first: `min_by_key` keeps the first of equal keys.
+    (0..=segments.len() - width)
+        .rev()
+        .min_by_key(|&start| cost(start))
+        .expect("window fits in the stack")
+}
+
+/// Merges adjacent runs (given oldest first, as they sit in the stack)
+/// into one fresh segment.
 ///
-/// Shadowing resolves newest-first: a page's surviving version is the
-/// one in the newest input that contains it, unless a newer input
-/// tombstones it. The merged segment carries **no** tombstones — the
-/// caller guarantees the inputs are the oldest runs in the index, so
-/// there is nothing below them left to shadow. (Merging a non-prefix
-/// run would have to keep its tombstones; the policy never does that.)
-pub(crate) fn merge_segments(id: u64, inputs: &[Arc<Segment>]) -> Segment {
-    if hardware_threads() > 1 && inputs.len() > 1 {
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .iter()
-                .map(|seg| scope.spawn(move || claim_set(seg)))
-                .collect();
-            // Joined in input order: the claim sets land in the same
-            // slots the serial path fills, so resolution is identical.
-            let claims: Vec<HashSet<u32>> = handles
-                .into_iter()
-                .map(|h| h.join().expect("claim scan panicked"))
-                .collect();
-            resolve_and_build(id, inputs, &claims)
-        })
-        .expect("merge scope")
-    } else {
-        let claims: Vec<HashSet<u32>> = inputs.iter().map(|s| claim_set(s)).collect();
-        resolve_and_build(id, inputs, &claims)
-    }
-}
-
-/// Every page id a run makes a claim about: versions it stores and
-/// pages it tombstones. A claim in a newer run shadows anything older.
-fn claim_set(seg: &Segment) -> HashSet<u32> {
-    seg.docs()
+/// A page's surviving claim is the one in the newest input that
+/// mentions it: a stored version or a tombstone. A winning tombstone is
+/// kept when `older_runs_below` — runs older than the window remain
+/// beneath it, and the tombstone must go on shadowing them. A prefix
+/// merge has nothing below it and drops its tombstones.
+pub(crate) fn merge_segments(id: u64, inputs: &[Arc<Segment>], older_runs_below: bool) -> Segment {
+    let mut runs: Vec<Claims<'_>> = inputs
         .iter()
-        .map(|d| d.page.0)
-        .chain(seg.tombstones().iter().map(|t| t.0))
-        .collect()
-}
-
-fn resolve_and_build(id: u64, inputs: &[Arc<Segment>], claims: &[HashSet<u32>]) -> Segment {
-    let mut winners: BTreeMap<u32, LiveDoc> = BTreeMap::new();
-    for (i, seg) in inputs.iter().enumerate() {
-        'doc: for d in seg.docs() {
-            for newer in &claims[i + 1..] {
-                if newer.contains(&d.page.0) {
-                    continue 'doc;
-                }
+        .map(|s| Claims {
+            docs: s.docs(),
+            tombstones: s.tombstones(),
+        })
+        .collect();
+    let mut docs = Vec::new();
+    let mut tombstones = Vec::new();
+    while let Some(page) = runs.iter().filter_map(Claims::peek).min() {
+        // Newest run first: the first claim on `page` wins, the older
+        // ones are shadowed and only skipped.
+        let mut newest = true;
+        for run in runs.iter_mut().rev() {
+            if run.peek() != Some(page) {
+                continue;
             }
-            winners.insert(d.page.0, d.clone());
+            let version = run.take(page);
+            if newest {
+                match version {
+                    Some(doc) => docs.push(doc.clone()),
+                    None if older_runs_below => tombstones.push(PageId(page)),
+                    None => {}
+                }
+                newest = false;
+            }
         }
     }
-    Segment::build(id, winners.into_values().collect(), Vec::new())
+    Segment::build(id, docs, tombstones)
+}
+
+/// One run's claims in ascending page order: its stored versions and
+/// its tombstones, interleaved (a run never holds both for one page).
+struct Claims<'a> {
+    docs: &'a [LiveDoc],
+    tombstones: &'a [PageId],
+}
+
+impl<'a> Claims<'a> {
+    /// The next page this run claims.
+    fn peek(&self) -> Option<u32> {
+        let doc = self.docs.first().map(|d| d.page.0);
+        let tombstone = self.tombstones.first().map(|t| t.0);
+        match (doc, tombstone) {
+            (Some(d), Some(t)) => Some(d.min(t)),
+            (d, t) => d.or(t),
+        }
+    }
+
+    /// Consumes the claim on `page`, the run's next page: its stored
+    /// version, or `None` for a tombstone.
+    fn take(&mut self, page: u32) -> Option<&'a LiveDoc> {
+        match self.docs.split_first() {
+            Some((doc, rest)) if doc.page.0 == page => {
+                self.docs = rest;
+                Some(doc)
+            }
+            _ => {
+                self.tombstones = &self.tombstones[1..];
+                None
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -187,7 +222,7 @@ mod tests {
             vec![doc(4, "v1 of four")],
             vec![PageId(2)],
         ));
-        let merged = merge_segments(9, &[old, mid, new]);
+        let merged = merge_segments(9, &[old, mid, new], false);
         assert_eq!(merged.id(), 9);
         let pages: Vec<u32> = merged.docs().iter().map(|d| d.page.0).collect();
         assert_eq!(pages, [1, 4], "2 deleted by newest, 3 by mid");
@@ -210,13 +245,86 @@ mod tests {
             (20..50).map(|i| doc(i, "newer body text")).collect(),
             (0..5).map(PageId).collect(),
         ));
-        let x = merge_segments(2, &[Arc::clone(&a), Arc::clone(&b)]);
-        let y = merge_segments(2, &[a, b]);
+        let x = merge_segments(2, &[Arc::clone(&a), Arc::clone(&b)], true);
+        let y = merge_segments(2, &[a, b], true);
         assert_eq!(x.len(), y.len());
         for (dx, dy) in x.docs().iter().zip(y.docs()) {
             assert_eq!(dx.page, dy.page);
             assert_eq!(dx.body, dy.body);
         }
+        assert_eq!(x.tombstones(), y.tombstones());
         assert_eq!(x.store().vocabulary_size(), y.store().vocabulary_size());
+    }
+
+    #[test]
+    fn window_merge_keeps_a_tombstone_that_is_the_newest_claim() {
+        let older = Arc::new(Segment::build(
+            3,
+            vec![doc(1, "v2 of one"), doc(2, "v2 of two")],
+            vec![PageId(7)],
+        ));
+        let newer = Arc::new(Segment::build(
+            4,
+            vec![doc(5, "v1 of five")],
+            vec![PageId(2)],
+        ));
+        let merged = merge_segments(9, &[older, newer], true);
+        let pages: Vec<u32> = merged.docs().iter().map(|d| d.page.0).collect();
+        assert_eq!(pages, [1, 5]);
+        assert_eq!(
+            merged.tombstones(),
+            &[PageId(2), PageId(7)],
+            "both tombstones must go on shadowing the runs below"
+        );
+    }
+
+    #[test]
+    fn window_merge_drops_a_tombstone_a_newer_version_supersedes() {
+        let older = Arc::new(Segment::build(
+            3,
+            vec![doc(1, "v2 of one")],
+            vec![PageId(2)],
+        ));
+        let newer = Arc::new(Segment::build(4, vec![doc(2, "v3 of two")], Vec::new()));
+        let merged = merge_segments(9, &[older, newer], true);
+        assert!(
+            merged.tombstones().is_empty(),
+            "the resurrecting version wins"
+        );
+        let pages: Vec<u32> = merged.docs().iter().map(|d| d.page.0).collect();
+        assert_eq!(pages, [1, 2]);
+        assert_eq!(merged.docs()[1].body, "v3 of two");
+    }
+
+    #[test]
+    fn prefix_merge_drops_every_tombstone() {
+        let old = Arc::new(Segment::build(0, vec![doc(1, "v1")], vec![PageId(4)]));
+        let mid = Arc::new(Segment::build(1, Vec::new(), vec![PageId(1), PageId(6)]));
+        let new = Arc::new(Segment::build(2, vec![doc(6, "v2")], vec![PageId(9)]));
+        let merged = merge_segments(9, &[old, mid, new], false);
+        assert!(merged.tombstones().is_empty());
+        let pages: Vec<u32> = merged.docs().iter().map(|d| d.page.0).collect();
+        assert_eq!(pages, [6]);
+    }
+
+    #[test]
+    fn cheapest_window_prefers_small_runs_and_the_newest_on_ties() {
+        let run = |id: u64, docs: u32, tombstones: u32| {
+            Arc::new(Segment::build(
+                id,
+                (0..docs).map(|i| doc(i, "body")).collect(),
+                (docs..docs + tombstones).map(PageId).collect(),
+            ))
+        };
+        let stack = [run(0, 40, 0), run(1, 3, 0), run(2, 1, 2), run(3, 2, 1)];
+        assert_eq!(
+            cheapest_window(&stack, 2),
+            2,
+            "3 + 3 ties 3 + 3; newest wins"
+        );
+        assert_eq!(cheapest_window(&stack, 3), 1);
+        assert_eq!(cheapest_window(&stack, 4), 0);
+        let base_small = [run(0, 1, 0), run(1, 5, 0), run(2, 5, 0)];
+        assert_eq!(cheapest_window(&base_small, 2), 0);
     }
 }

@@ -15,11 +15,15 @@
 //! Payloads are self-delimiting records: an `Upsert` carries the raw
 //! document fields (term streams are *not* serialized — analysis is
 //! deterministic and re-runs on replay), a `Delete` carries the page
-//! id. Replay is crash-tolerant: it stops cleanly at the first
-//! truncated frame, checksum mismatch, or undecodable payload, and
-//! returns every record before the cut — the recovery semantics the
-//! crash-cut suite (`tests/live_wal.rs`) exercises at every byte
-//! boundary.
+//! id. Replay is crash-tolerant: a bad frame (truncated, checksum
+//! mismatch, or undecodable payload) that runs to or past the end of
+//! the bytes is a torn tail, and replay returns every record before it
+//! — the recovery semantics the crash-cut suite (`tests/live_wal.rs`)
+//! exercises at every byte boundary. A bad frame with bytes after it
+//! cannot be a crash cut; replay reports it as [`WalCorruption`]
+//! instead of dropping every later record.
+
+use std::fmt;
 
 use shift_corpus::{PageId, SourceType};
 
@@ -33,6 +37,25 @@ pub enum WalRecord {
     /// Delete a page.
     Delete(PageId),
 }
+
+/// Mid-log damage: a bad frame followed by more bytes. A torn tail is
+/// never reported — it is the expected shape of a crash cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalCorruption {
+    /// Byte offset of the bad frame's header.
+    pub offset: usize,
+}
+
+impl fmt::Display for WalCorruption {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "corrupt WAL frame at byte {}", self.offset)
+    }
+}
+
+impl std::error::Error for WalCorruption {}
+
+/// Frame header: `u32` payload length, then the `u64` checksum.
+const HEADER: usize = 12;
 
 /// Record tags.
 const TAG_UPSERT: u8 = 0;
@@ -79,30 +102,31 @@ impl WriteAheadLog {
     }
 
     /// Decodes every intact record from a (possibly crash-cut) byte
-    /// stream, stopping at the first truncated, corrupt, or
-    /// undecodable frame.
-    pub fn replay(bytes: &[u8]) -> Vec<WalRecord> {
+    /// stream. A bad frame that runs to or past the end of `bytes` is a
+    /// torn tail: replay stops there and returns the records before it.
+    /// A bad frame with bytes after it is mid-log corruption.
+    pub fn replay(bytes: &[u8]) -> Result<Vec<WalRecord>, WalCorruption> {
         let mut records = Vec::new();
         let mut at = 0usize;
-        while let Some(len_bytes) = bytes.get(at..at + 4) {
-            let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-            let Some(hash_bytes) = bytes.get(at + 4..at + 12) else {
+        while at < bytes.len() {
+            let Some(header) = bytes.get(at..at + HEADER) else {
                 break;
             };
-            let hash = u64::from_le_bytes(hash_bytes.try_into().expect("8 bytes"));
-            let Some(payload) = bytes.get(at + 12..at + 12 + len) else {
-                break;
-            };
-            if fnv1a64(payload) != hash {
-                break;
+            let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+            let hash = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+            let end = at + HEADER + len;
+            let record = bytes
+                .get(at + HEADER..end)
+                .filter(|payload| fnv1a64(payload) == hash)
+                .and_then(decode_payload);
+            match record {
+                Some(record) => records.push(record),
+                None if end >= bytes.len() => break,
+                None => return Err(WalCorruption { offset: at }),
             }
-            let Some(record) = decode_payload(payload) else {
-                break;
-            };
-            records.push(record);
-            at += 12 + len;
+            at = end;
         }
-        records
+        Ok(records)
     }
 }
 
@@ -253,7 +277,7 @@ mod tests {
             WalRecord::Delete(PageId(9)),
             upsert(3, "battery life review, updated"),
         ]);
-        let got = WriteAheadLog::replay(wal.bytes());
+        let got = WriteAheadLog::replay(wal.bytes()).expect("intact log");
         assert_eq!(got.len(), 3);
         match (&got[0], &got[2]) {
             (WalRecord::Upsert(a), WalRecord::Upsert(b)) => {
@@ -278,11 +302,15 @@ mod tests {
             WalRecord::Delete(PageId(2)),
             upsert(3, "ccc"),
         ]);
-        let full = WriteAheadLog::replay(wal.bytes()).len();
+        let full = WriteAheadLog::replay(wal.bytes())
+            .expect("intact log")
+            .len();
         assert_eq!(full, 3);
         let mut last = 0;
         for cut in 0..wal.len() {
-            let n = WriteAheadLog::replay(&wal.bytes()[..cut]).len();
+            let n = WriteAheadLog::replay(&wal.bytes()[..cut])
+                .expect("a cut is a torn tail, never corruption")
+                .len();
             assert!(n <= full);
             assert!(n >= last, "prefix grows monotonically");
             last = last.max(n);
@@ -290,13 +318,36 @@ mod tests {
     }
 
     #[test]
-    fn replay_stops_at_corruption() {
+    fn replay_stops_at_a_corrupt_last_frame() {
         let wal = log_with(&[upsert(1, "aaa"), upsert(2, "bbb")]);
         let mut bytes = wal.bytes().to_vec();
-        // Flip a byte inside the second frame's payload.
+        // Flip a byte inside the second (last) frame's payload.
         let cut = bytes.len() - 3;
         bytes[cut] ^= 0xff;
-        let got = WriteAheadLog::replay(&bytes);
+        let got = WriteAheadLog::replay(&bytes).expect("a bad last frame is a torn tail");
         assert_eq!(got.len(), 1, "checksum must reject the corrupt frame");
+    }
+
+    #[test]
+    fn replay_reports_mid_log_corruption_with_its_offset() {
+        let wal = log_with(&[
+            upsert(1, "aaa"),
+            upsert(2, "bbb"),
+            WalRecord::Delete(PageId(1)),
+        ]);
+        assert_eq!(WriteAheadLog::replay(wal.bytes()).map(|r| r.len()), Ok(3));
+        let frame_two = log_with(&[upsert(1, "aaa")]).len();
+        let mut bytes = wal.bytes().to_vec();
+        // A payload bit, a checksum bit, and a length bit in the second
+        // frame: each leaves the third frame's bytes after a bad frame.
+        for at in [frame_two + HEADER + 2, frame_two + 5, frame_two] {
+            bytes[at] ^= 0x01;
+            assert_eq!(
+                WriteAheadLog::replay(&bytes).map(|r| r.len()),
+                Err(WalCorruption { offset: frame_two }),
+                "flip at byte {at}"
+            );
+            bytes[at] ^= 0x01;
+        }
     }
 }

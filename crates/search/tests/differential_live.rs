@@ -80,11 +80,20 @@ fn timeline() -> &'static Timeline {
 
 /// Replays the first `cut` events into a fresh live index, forcing a
 /// memtable flush after each applied-event index in `forced_flushes`
-/// (segment layout must never leak into SERPs).
-fn live_index_at(config: LiveIndexConfig, cut: usize, forced_flushes: &[usize]) -> LiveIndex {
+/// (segment layout must never leak into SERPs). Also returns how many
+/// merges left an older run beneath the merged window — the merges that
+/// must keep their tombstones.
+fn live_index_at(
+    config: LiveIndexConfig,
+    cut: usize,
+    forced_flushes: &[usize],
+) -> (LiveIndex, u64) {
     let world = base_world();
     let mut index = LiveIndex::new(config);
+    let mut window_merges = 0;
     for (i, event) in timeline().events()[..cut].iter().enumerate() {
+        let base_run = index.segments().first().map(|s| s.id());
+        let merges = index.counters().compactions;
         match event.kind {
             EventKind::Delete => index.delete(event.page.id),
             EventKind::Publish | EventKind::Update => {
@@ -94,8 +103,14 @@ fn live_index_at(config: LiveIndexConfig, cut: usize, forced_flushes: &[usize]) 
         if forced_flushes.contains(&i) {
             index.flush();
         }
+        // A merge that took in the base run gives the stack a fresh
+        // bottom id, so an unchanged bottom means every merge of this
+        // step left it in place.
+        if base_run.is_some() && index.segments().first().map(|s| s.id()) == base_run {
+            window_merges += index.counters().compactions - merges;
+        }
     }
-    index
+    (index, window_merges)
 }
 
 /// Everything cached for one cut point: the batch oracle per params and
@@ -111,7 +126,8 @@ fn cuts() -> &'static Vec<CutFixture> {
     CUTS.get_or_init(|| {
         let world = base_world();
         let n = timeline().len();
-        [n / 4, n / 2, 3 * n / 4, n]
+        let mut window_merges = 0;
+        let cuts = [n / 4, n / 2, 3 * n / 4, n]
             .into_iter()
             .map(|cut| {
                 let oracle_world = timeline().world_at(&world, cut);
@@ -122,7 +138,9 @@ fn cuts() -> &'static Vec<CutFixture> {
                 let searchers = live_configs()
                     .into_iter()
                     .map(|config| {
-                        let snapshot = Arc::new(live_index_at(config, cut, &[]).snapshot());
+                        let (index, merges) = live_index_at(config, cut, &[]);
+                        window_merges += merges;
+                        let snapshot = Arc::new(index.snapshot());
                         params_set()
                             .into_iter()
                             .map(|p| LiveSearcher::new(Arc::clone(&snapshot), p))
@@ -135,7 +153,12 @@ fn cuts() -> &'static Vec<CutFixture> {
                     searchers,
                 }
             })
-            .collect()
+            .collect();
+        assert!(
+            window_merges > 0,
+            "no fixture merges a window above an older run"
+        );
+        cuts
     })
 }
 
@@ -267,7 +290,11 @@ fn snapshot_alive_counts_match_oracle() {
 /// with an empty SERP from both modes.
 #[test]
 fn cut_zero_serves_empty_serps() {
-    let snapshot = Arc::new(live_index_at(LiveIndexConfig::tiny(42), 0, &[]).snapshot());
+    let snapshot = Arc::new(
+        live_index_at(LiveIndexConfig::tiny(42), 0, &[])
+            .0
+            .snapshot(),
+    );
     assert!(snapshot.is_empty());
     for p in params_set() {
         let searcher = LiveSearcher::new(Arc::clone(&snapshot), p);
@@ -332,7 +359,7 @@ proptest! {
             fanin_max,
             seed,
         };
-        let snapshot = Arc::new(live_index_at(config, c.cut, &forced).snapshot());
+        let snapshot = Arc::new(live_index_at(config, c.cut, &forced).0.snapshot());
         let searcher = LiveSearcher::new(snapshot, params_set().swap_remove(p));
         let live = searcher.search(&q, k);
         let oracle = c.oracles[p].search(&q, k);

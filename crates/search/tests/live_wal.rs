@@ -5,7 +5,8 @@
 //! SERPs its snapshots serve — to a fresh index that applied exactly
 //! the mutations surviving the cut. Recovery must also be a sound base
 //! for continued ingestion: applying the remaining events to the
-//! recovered index converges with the uncut run.
+//! recovered index converges with the uncut run. A flipped bit inside
+//! the log is not a cut: recovery reports the damaged frame's offset.
 
 use std::sync::{Arc, OnceLock};
 
@@ -102,8 +103,8 @@ fn assert_serves_identically(a: &LiveIndex, b: &LiveIndex) {
 fn assert_recovery_at(cut: usize) {
     let wal = uncut().wal().bytes();
     let cut = cut.min(wal.len());
-    let survived = WriteAheadLog::replay(&wal[..cut]).len();
-    let recovered = LiveIndex::recover(config(), &wal[..cut]);
+    let survived = replay_cut(&wal[..cut]);
+    let recovered = LiveIndex::recover(config(), &wal[..cut]).expect("a cut log recovers");
     let fresh = index_over(survived);
     assert_eq!(
         recovered.counters(),
@@ -125,20 +126,33 @@ fn assert_recovery_at(cut: usize) {
     assert_serves_identically(&recovered, &fresh);
 }
 
+/// Records surviving a crash cut (a cut is always a torn tail).
+fn replay_cut(bytes: &[u8]) -> usize {
+    WriteAheadLog::replay(bytes)
+        .expect("a cut is a torn tail, never corruption")
+        .len()
+}
+
+/// Byte offsets at which the intact log's frames start.
+fn frame_starts(wal: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0usize;
+    while at < wal.len() {
+        starts.push(at);
+        let len = u32::from_le_bytes(wal[at..at + 4].try_into().unwrap()) as usize;
+        at += 12 + len;
+    }
+    starts
+}
+
 /// Structured cut points: empty, sub-header, around several frame
 /// boundaries, mid-stream, one byte short, and the intact log.
 #[test]
 fn recovery_at_structured_cut_points() {
     let wal = uncut().wal().bytes();
     let n = wal.len();
-    // Walk real frame boundaries to place surgical cuts.
-    let mut boundaries = Vec::new();
-    let mut at = 0usize;
-    while at + 12 <= n {
-        let len = u32::from_le_bytes(wal[at..at + 4].try_into().unwrap()) as usize;
-        at += 12 + len;
-        boundaries.push(at);
-    }
+    // Real frame boundaries place surgical cuts.
+    let boundaries = frame_starts(wal);
     assert!(boundaries.len() > 10, "fixture WAL too small");
     let mid = boundaries[boundaries.len() / 2];
     for cut in [
@@ -161,7 +175,7 @@ fn recovery_at_structured_cut_points() {
 #[test]
 fn full_replay_is_lossless() {
     let index = uncut();
-    let recovered = LiveIndex::recover(config(), index.wal().bytes());
+    let recovered = LiveIndex::recover(config(), index.wal().bytes()).expect("intact log");
     assert_eq!(recovered.counters(), index.counters());
     assert_eq!(recovered.wal().bytes(), index.wal().bytes());
     assert_serves_identically(&recovered, index);
@@ -174,8 +188,8 @@ fn full_replay_is_lossless() {
 fn recovered_index_continues_ingesting_identically() {
     let wal = uncut().wal().bytes();
     let cut = wal.len() * 3 / 5; // mid-frame in practice
-    let survived = WriteAheadLog::replay(&wal[..cut]).len();
-    let mut recovered = LiveIndex::recover(config(), &wal[..cut]);
+    let survived = replay_cut(&wal[..cut]);
+    let mut recovered = LiveIndex::recover(config(), &wal[..cut]).expect("a cut log recovers");
     let resume_to = uncut_to();
     assert!(survived < resume_to);
     apply_events(&mut recovered, survived, resume_to);
@@ -193,5 +207,34 @@ proptest! {
     #[test]
     fn recovery_at_arbitrary_byte_cuts(cut in 0usize..1_000_000) {
         assert_recovery_at(cut % (uncut().wal().len() + 1));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A bit flipped anywhere in the log is reported at the frame it
+    /// hit. Only when that frame now runs to or past the end — the shape
+    /// of a torn tail — does recovery succeed, and then with exactly the
+    /// frames before it.
+    #[test]
+    fn bit_flips_are_reported_at_the_damaged_frame(at in 0usize..1_000_000, bit in 0u32..8) {
+        let wal = uncut().wal().bytes();
+        let at = at % wal.len();
+        let starts = frame_starts(wal);
+        let start = starts[starts.partition_point(|&s| s <= at) - 1];
+        let mut damaged = wal.to_vec();
+        damaged[at] ^= 1 << bit;
+        match LiveIndex::recover(config(), &damaged) {
+            Err(e) => prop_assert_eq!(e.offset, start, "flip at byte {}", at),
+            Ok(recovered) => {
+                let len = u32::from_le_bytes(damaged[start..start + 4].try_into().unwrap());
+                prop_assert!(
+                    start + 12 + len as usize >= damaged.len(),
+                    "flip at byte {} recovered though bytes follow its frame", at
+                );
+                prop_assert_eq!(recovered.wal().bytes(), &wal[..start]);
+            }
+        }
     }
 }

@@ -270,6 +270,7 @@ fn counters_json(counters: &LiveCounters, decisions: u64) -> Value {
         "segments_merged".to_string(),
         num(counters.segments_merged as f64),
     );
+    m.insert("docs_merged".to_string(), num(counters.docs_merged as f64));
     m.insert("policy_decisions".to_string(), num(decisions as f64));
     Value::Object(m)
 }

@@ -14,6 +14,9 @@ cargo build --release
 echo "== tier-1: root-package tests =="
 cargo test -q
 
+echo "== benchmark crate: release build (outside the workspace, so library API breaks surface here) =="
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== serving layer: unit + integration =="
 cargo test -q -p shift-serve
 
